@@ -14,10 +14,12 @@ verify: build test
 # CI target: vet plus the full suite under the race detector — the fast
 # path shares evaluators across scheduler workers and the experiment lab
 # fans trials across cores, so racy regressions must fail loudly. The
-# one-iteration bench pass exercises the benchmark bodies (also under
-# -race) without paying for steady-state timing.
+# short fuzz pass drives the delta evaluator against the independent
+# eq-by-eq oracle. The one-iteration bench pass exercises the benchmark
+# bodies (also under -race) without paying for steady-state timing.
 ci:
 	$(GO) vet ./...
+	$(GO) test -run xxx -fuzz FuzzEnergyDelta -fuzztime 10s ./internal/core/
 	$(MAKE) faults-smoke
 	$(MAKE) obs-smoke
 	$(MAKE) overload-smoke
@@ -90,6 +92,6 @@ faults-smoke:
 		./internal/monitor/ ./internal/core/ ./internal/schedule/ \
 		./internal/remap/ ./internal/service/ ./internal/obs/
 
-# Short fuzz pass over the delta-evaluation invariants.
+# Longer fuzz pass over the delta-evaluation invariants (ci runs 10s).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEnergyDelta -fuzztime 30s ./internal/core/

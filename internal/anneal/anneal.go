@@ -77,7 +77,7 @@ func newConvergence(span *obs.ActiveSpan) *convergence {
 }
 
 // observeRun publishes one finished run's statistics and span.
-func observeRun(kind string, initialTemp, bestE float64, st Stats, span *obs.ActiveSpan) {
+func observeRun(initialTemp, bestE float64, st Stats, span *obs.ActiveSpan) {
 	metricRuns.Inc()
 	metricEvals.Add(uint64(st.Evaluations))
 	metricAccepted.Add(uint64(st.Accepted))
@@ -90,8 +90,7 @@ func observeRun(kind string, initialTemp, bestE float64, st Stats, span *obs.Act
 	gaugeBestEnergy.Set(bestE)
 	gaugeInitialTemp.Set(initialTemp)
 	gaugeFinalTemp.Set(st.FinalTemp)
-	span.Attr("kind", kind).
-		Attr("evals", st.Evaluations).
+	span.Attr("evals", st.Evaluations).
 		Attr("accepted", st.Accepted).
 		Attr("improved", st.Improved).
 		Attr("acceptance_rate", rate).
@@ -169,88 +168,22 @@ func doneChan(ctx context.Context) <-chan struct{} {
 
 // Minimize anneals from the initial state, proposing neighbors and
 // accepting by the Metropolis criterion, and returns the best state seen
-// with its energy and run statistics.
+// with its energy and run statistics. It is a thin adapter over
+// MinimizeIncremental: every proposal replaces the current state, and a
+// rejected one is undone by restoring the previous state.
 //
 // The state type S must be treated as immutable by the caller: neighbor
 // must return a fresh state (or a modified copy).
 func Minimize[S any](cfg Config, initial S, energy func(S) float64, neighbor func(S, *rand.Rand) S) (S, float64, Stats) {
-	cfg = cfg.withDefaults()
-	span, _ := obs.StartSpan(cfg.Ctx, "anneal.run")
-	conv := newConvergence(span)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	cur := initial
-	curE := energy(cur)
-	best, bestE := cur, curE
-	st := Stats{Evaluations: 1}
-	conv.observe(st.Evaluations, bestE)
-
-	temp := cfg.InitialTemp
-	if temp <= 0 {
-		temp = autoTemperature(cur, curE, energy, neighbor, rng, &st, cfg.MaxEvaluations)
-	}
-	minTemp := temp * cfg.MinTemp
-
-	done := doneChan(cfg.Ctx)
-	for temp > minTemp && st.Evaluations < cfg.MaxEvaluations {
-		select {
-		case <-done:
-			// Deadline propagation: the caller's context expired, so nobody
-			// will read the answer — abandon the walk, keeping the best
-			// state found so far for the cancellation error path.
-			st.Cancelled = true
-			st.FinalTemp = temp
-			conv.attach(span)
-			observeRun("full", minTemp/cfg.MinTemp, bestE, st, span)
-			return best, bestE, st
-		default:
-		}
-		for i := 0; i < cfg.StepsPerTemp && st.Evaluations < cfg.MaxEvaluations; i++ {
-			cand := neighbor(cur, rng)
-			candE := energy(cand)
-			st.Evaluations++
-			d := candE - curE
-			if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
-				cur, curE = cand, candE
-				st.Accepted++
-				if curE < bestE {
-					best, bestE = cur, curE
-					st.Improved++
-					conv.observe(st.Evaluations, bestE)
-				}
-			}
-		}
-		temp *= cfg.Cooling
-	}
-	st.FinalTemp = temp
-	conv.attach(span)
-	observeRun("full", minTemp/cfg.MinTemp, bestE, st, span)
+	cur, prev, best := initial, initial, initial
+	bestE, st := MinimizeIncremental(cfg, IncrementalProblem[S]{
+		InitialEnergy: energy(initial),
+		Propose:       func(rng *rand.Rand) (S, bool) { return neighbor(cur, rng), true },
+		Apply:         func(s S) float64 { prev, cur = cur, s; return energy(s) },
+		Undo:          func() { cur = prev },
+		OnBest:        func() { best = cur },
+	})
 	return best, bestE, st
-}
-
-// autoTemperature estimates a starting temperature as the standard
-// deviation of energy over a short random walk, so that early uphill moves
-// are accepted with reasonable probability. The walk never exceeds the
-// remaining evaluation budget.
-func autoTemperature[S any](cur S, curE float64, energy func(S) float64, neighbor func(S, *rand.Rand) S, rng *rand.Rand, st *Stats, maxEvals int) float64 {
-	probes := autoTempProbes
-	if remaining := maxEvals - st.Evaluations; probes > remaining {
-		probes = remaining
-	}
-	mean, m2 := 0.0, 0.0
-	n := 0.0
-	s := cur
-	e := curE
-	for i := 0; i < probes; i++ {
-		s = neighbor(s, rng)
-		e = energy(s)
-		st.Evaluations++
-		n++
-		d := e - mean
-		mean += d / n
-		m2 += d * (e - mean)
-	}
-	return tempFromSpread(mean, m2, n, curE)
 }
 
 // autoTempProbes is the length of the auto-temperature sampling walk.
@@ -293,11 +226,12 @@ type IncrementalProblem[M any] struct {
 }
 
 // MinimizeIncremental anneals an incremental problem under the Metropolis
-// criterion. It is the fast-path twin of Minimize: rejected proposals cost
-// one delta evaluation and an undo instead of a full re-evaluation, and the
-// evaluation budget (Config.MaxEvaluations) is respected exactly — the
-// initial evaluation, the auto-temperature walk, and every proposal all
-// count against it, and the total never exceeds it.
+// criterion. It is the one SA loop, behind both Minimize and the CBES
+// schedulers: rejected proposals cost one delta evaluation and an undo
+// instead of a full re-evaluation, and the evaluation budget
+// (Config.MaxEvaluations) is respected exactly — the initial evaluation,
+// the auto-temperature walk, and every proposal all count against it, and
+// the total never exceeds it.
 func MinimizeIncremental[M any](cfg Config, p IncrementalProblem[M]) (float64, Stats) {
 	cfg = cfg.withDefaults()
 	span, _ := obs.StartSpan(cfg.Ctx, "anneal.run")
@@ -368,7 +302,7 @@ func MinimizeIncremental[M any](cfg Config, p IncrementalProblem[M]) (float64, S
 			st.Cancelled = true
 			st.FinalTemp = temp
 			conv.attach(span)
-			observeRun("incremental", minTemp/cfg.MinTemp, bestE, st, span)
+			observeRun(minTemp/cfg.MinTemp, bestE, st, span)
 			return bestE, st
 		default:
 		}
@@ -406,6 +340,6 @@ func MinimizeIncremental[M any](cfg Config, p IncrementalProblem[M]) (float64, S
 	}
 	st.FinalTemp = temp
 	conv.attach(span)
-	observeRun("incremental", minTemp/cfg.MinTemp, bestE, st, span)
+	observeRun(minTemp/cfg.MinTemp, bestE, st, span)
 	return bestE, st
 }

@@ -15,6 +15,13 @@
 // summed over the profile's segments. ACPU_j generalizes the paper's
 // per-node availability to co-located ranks: k ranks sharing a node with
 // c processors see their share scaled by min(1, c/k).
+//
+// One kernel implements these equations: the Scorer of fastpath.go.
+// Predict is a full Scorer evaluation plus the per-segment, per-process
+// breakdown read off its term arrays; Energy and the delta moves the
+// schedulers drive are the same arithmetic. The eq-by-eq form lives on
+// only as the test oracle referencePredict, and the invariant the tests
+// hold is Scorer ≡ referencePredict, bit for bit.
 package core
 
 import (
@@ -22,7 +29,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,38 +45,15 @@ import (
 var ErrNodeDown = errors.New("node down")
 
 // checkNodesUp returns a wrapped ErrNodeDown if any rank of m sits on a
-// down node of snap, and whether any mapped node's data is stale
-// (HealthSuspect) — the degraded-prediction trigger.
-func checkNodesUp(m Mapping, snap *monitor.Snapshot) (anyStale bool, err error) {
-	if snap.Health == nil {
-		return false, nil
-	}
+// down node of snap.
+func checkNodesUp(m Mapping, snap *monitor.Snapshot) error {
 	for r, n := range m {
-		switch snap.HealthOf(n) {
-		case monitor.HealthDown:
+		if snap.HealthOf(n) == monitor.HealthDown {
 			metricNodeDownErrors.Inc()
-			return false, fmt.Errorf("core: rank %d mapped to node %d: %w", r, n, ErrNodeDown)
-		case monitor.HealthSuspect:
-			anyStale = true
+			return fmt.Errorf("core: rank %d mapped to node %d: %w", r, n, ErrNodeDown)
 		}
 	}
-	return anyStale, nil
-}
-
-// degradedSnapshot substitutes profile-only fallback values for every
-// stale (HealthSuspect) node of snap: nominal CPU availability and an idle
-// NIC, i.e. the prediction degrades to what the profile alone supports
-// rather than trusting forecasts past their TTL. The input is not
-// modified.
-func degradedSnapshot(snap *monitor.Snapshot) *monitor.Snapshot {
-	c := snap.Clone()
-	for i, h := range c.Health {
-		if h == monitor.HealthSuspect {
-			c.AvailCPU[i] = 1.0
-			c.NICUtil[i] = 0.0
-		}
-	}
-	return c
+	return nil
 }
 
 // Mapping assigns each application rank (index) to a cluster node (value) —
@@ -173,11 +156,10 @@ type Evaluator struct {
 
 	mu     sync.Mutex // guards lazy fastIx construction
 	fastIx *fastIndex
-	pool   sync.Pool // *Scorer arena for Energy
+	pool   sync.Pool // *Scorer arena for Predict and Energy
 
-	nominalOnce sync.Once
-	nominal     *monitor.Snapshot // lazily-built brownout view (see PredictBrownout)
-	brownAgg    []brownoutAgg     // lazily-built per-rank profile aggregate
+	brownOnce sync.Once
+	brownAgg  []brownoutAgg // lazily-built per-rank profile aggregate (see PredictBrownout)
 }
 
 // brownoutAgg collapses one rank's profile across every segment — the
@@ -226,59 +208,22 @@ func NewEvaluator(topo *cluster.Topology, model *netmodel.Model, prof *profile.P
 }
 
 // Predict evaluates mapping m under the resource conditions of snap and
-// returns the execution-time prediction.
+// returns the execution-time prediction with its per-segment, per-process
+// breakdown. It is one full Scorer evaluation (drawn from the same pool as
+// Energy) with the breakdown read off the scorer's term arrays, so
+// Predict(m, snap).Seconds == Energy(m, snap) by construction.
 func (e *Evaluator) Predict(m Mapping, snap *monitor.Snapshot) (*Prediction, error) {
 	start := time.Now()
 	defer func() {
 		metricPredicts.Inc()
 		metricPredictSeconds.Observe(time.Since(start).Seconds())
 	}()
-	if len(m) != e.Prof.Ranks {
-		return nil, fmt.Errorf("core: mapping has %d ranks, profile has %d", len(m), e.Prof.Ranks)
-	}
-	if err := m.Validate(e.Topo); err != nil {
+	s := e.pooled()
+	defer e.pool.Put(s)
+	if err := s.load(m, snap); err != nil {
 		return nil, err
 	}
-	anyStale, err := checkNodesUp(m, snap)
-	if err != nil {
-		return nil, err
-	}
-	mult := m.Multiplicity()
-	pred := &Prediction{Mapping: m.Clone()}
-	if anyStale {
-		// Degraded mode: evaluate against the profile-only fallback view.
-		snap = degradedSnapshot(snap)
-		pred.Degraded = true
-		seen := map[int]bool{}
-		for _, n := range m {
-			if !seen[n] && snap.HealthOf(n) == monitor.HealthSuspect {
-				seen[n] = true
-				pred.StaleNodes = append(pred.StaleNodes, n)
-			}
-		}
-		sort.Ints(pred.StaleNodes)
-		metricDegradedPredicts.Inc()
-	}
-	for _, seg := range e.Prof.Segments {
-		se := SegmentEstimate{Name: seg.Name, Critical: -1}
-		for i := range seg.Procs {
-			pp := &seg.Procs[i]
-			node := m[pp.Rank]
-			est := ProcEstimate{Rank: pp.Rank}
-			est.R = e.computeTerm(pp, node, mult[node], snap)
-			if !e.IgnoreComm {
-				est.C = e.commTerm(pp, m, snap)
-			}
-			se.Procs = append(se.Procs, est)
-			if t := est.Total(); se.Critical < 0 || t > se.Seconds {
-				se.Seconds = t
-				se.Critical = pp.Rank
-			}
-		}
-		pred.Seconds += se.Seconds
-		pred.Segments = append(pred.Segments, se)
-	}
-	return pred, nil
+	return s.prediction(), nil
 }
 
 // PredictBrownout estimates mapping m against nominal resource
@@ -300,15 +245,7 @@ func (e *Evaluator) PredictBrownout(m Mapping) (*Prediction, error) {
 	if err := m.Validate(e.Topo); err != nil {
 		return nil, err
 	}
-	e.nominalOnce.Do(func() {
-		n := e.Topo.NumNodes()
-		e.nominal = &monitor.Snapshot{
-			AvailCPU: make([]float64, n),
-			NICUtil:  make([]float64, n),
-		}
-		for i := range e.nominal.AvailCPU {
-			e.nominal.AvailCPU[i] = 1.0
-		}
+	e.brownOnce.Do(func() {
 		aggs := make([]brownoutAgg, e.Prof.Ranks)
 		for si := range e.Prof.Segments {
 			for pi := range e.Prof.Segments[si].Procs {
@@ -328,29 +265,25 @@ func (e *Evaluator) PredictBrownout(m Mapping) (*Prediction, error) {
 		}
 		e.brownAgg = aggs
 	})
+	ix := e.fast()
 	mult := m.Multiplicity()
 	pred := &Prediction{Mapping: m.Clone(), Brownout: true}
 	for r := range e.brownAgg {
 		a := &e.brownAgg[r]
 		node := m[r]
-		n := e.Topo.Node(node)
-		speed, ok := e.Prof.ArchSpeed[n.Arch]
-		if !ok || speed <= 0 {
-			speed = n.Speed
-		}
 		acpu := 1.0
 		if co := mult[node]; co > 1 {
-			if share := float64(n.CPUs) / float64(co); share < 1 {
+			if share := float64(ix.cpus[node]) / float64(co); share < 1 {
 				acpu = share
 			}
 		}
-		total := a.work / speed / acpu
+		total := a.work / ix.speed[node] / acpu
 		if !e.IgnoreComm {
 			for _, g := range a.sends {
-				total += g.wcount * e.Model.Latency(node, m[g.peer], g.size, e.nominal)
+				total += g.wcount * ix.latency(node, m[g.peer], g.size, 1, 1, 0, 0)
 			}
 			for _, g := range a.recvs {
-				total += g.wcount * e.Model.Latency(m[g.peer], node, g.size, e.nominal)
+				total += g.wcount * ix.latency(m[g.peer], node, g.size, 1, 1, 0, 0)
 			}
 		}
 		if total > pred.Seconds {
@@ -359,40 +292,6 @@ func (e *Evaluator) PredictBrownout(m Mapping) (*Prediction, error) {
 	}
 	metricBrownoutPredicts.Inc()
 	return pred, nil
-}
-
-// computeTerm is R_i of eq. 5.
-func (e *Evaluator) computeTerm(pp *profile.ProcProfile, node, coLocated int, snap *monitor.Snapshot) float64 {
-	n := e.Topo.Node(node)
-	speed, ok := e.Prof.ArchSpeed[n.Arch]
-	if !ok || speed <= 0 {
-		// Fall back to the architecture's nominal speed when the profile
-		// lacks a measurement (should not happen with bench-built profiles).
-		speed = n.Speed
-	}
-	acpu := snap.AvailCPU[node]
-	if coLocated > 1 {
-		share := float64(n.CPUs) / float64(coLocated)
-		if share < 1 {
-			acpu *= share
-		}
-	}
-	if acpu < 0.01 {
-		acpu = 0.01
-	}
-	return (pp.X + pp.O) * (pp.ProfSpeed / speed) * (1 / acpu)
-}
-
-// commTerm is C_i = λ_i · Θ_i (eqs. 6 and 8), with Lc the load-adjusted
-// latency estimate of the network model.
-func (e *Evaluator) commTerm(pp *profile.ProcProfile, m Mapping, snap *monitor.Snapshot) float64 {
-	if pp.Lambda == 0 {
-		return 0
-	}
-	theta := profile.Theta(pp, m, func(src, dst int, size int64) float64 {
-		return e.Model.Latency(src, dst, size, snap)
-	})
-	return theta * pp.Lambda
 }
 
 // compareParallelThreshold is the batch size above which Compare fans out
@@ -443,21 +342,29 @@ func (e *Evaluator) Compare(ms []Mapping, snap *monitor.Snapshot) ([]*Prediction
 			preds[i] = p
 		}
 	}
-	// NaN-aware best selection: a NaN prediction (corrupt profile or model)
-	// must never win by making every comparison false.
-	best := -1
+	secs := make([]float64, len(preds))
 	for i, p := range preds {
-		if math.IsNaN(p.Seconds) {
-			continue
-		}
-		if best < 0 || p.Seconds < preds[best].Seconds {
+		secs[i] = p.Seconds
+	}
+	best := Argmin(secs)
+	return preds, best, nil
+}
+
+// Argmin returns the index of the fastest prediction in seconds: the
+// smallest non-NaN value, the first one on ties. A NaN prediction (corrupt
+// profile or model) must never win by making every comparison false; if
+// every value is NaN (or seconds is empty) it returns 0.
+func Argmin(seconds []float64) int {
+	best := -1
+	for i, v := range seconds {
+		if !math.IsNaN(v) && (best < 0 || v < seconds[best]) {
 			best = i
 		}
 	}
 	if best < 0 {
-		best = 0 // every candidate NaN: keep the legacy fallback
+		return 0
 	}
-	return preds, best, nil
+	return best
 }
 
 // boundedWorkers sizes a worker pool for n independent evaluations.

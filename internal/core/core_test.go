@@ -74,13 +74,19 @@ func twoSwitchAlphas() *cluster.Topology {
 }
 
 func newFixtureOn(t *testing.T, topo *cluster.Topology, profMapping []int) *fixture {
+	return newFixtureBody(t, topo, profMapping, appBody)
+}
+
+// newFixtureBody profiles an arbitrary SPMD body on topo under
+// profMapping and builds its calibrated evaluator.
+func newFixtureBody(t *testing.T, topo *cluster.Topology, profMapping []int, body func(*mpisim.Rank)) *fixture {
 	t.Helper()
 	model := bench.Calibrate(topo, bench.Options{Reps: 5})
 
 	eng := des.NewEngine()
 	vc := vcluster.New(eng, topo)
 	net := simnet.New(eng, topo)
-	res := mpisim.Run(vc, net, profMapping, appBody, mpisim.Options{AppName: "app"})
+	res := mpisim.Run(vc, net, profMapping, body, mpisim.Options{AppName: "app"})
 
 	speeds := bench.MeasureArchSpeeds(topo, nil, 0.2)
 	prof, err := profile.FromTrace(res.Trace, topo, speeds)
@@ -94,7 +100,7 @@ func newFixtureOn(t *testing.T, topo *cluster.Topology, profMapping []int) *fixt
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{topo: topo, model: model, prof: prof, eval: eval, body: appBody}
+	return &fixture{topo: topo, model: model, prof: prof, eval: eval, body: body}
 }
 
 func TestPredictSameMappingIdle(t *testing.T) {
@@ -416,21 +422,34 @@ func BenchmarkPredict(b *testing.B) {
 func TestCompareSkipsNaNPredictions(t *testing.T) {
 	// Regression: best-mapping selection used "candidate < best", which a
 	// NaN prediction (e.g. a corrupt availability reading) never satisfies,
-	// so a NaN candidate in slot 0 won the whole comparison.
+	// so a NaN candidate in slot 0 won the whole comparison. Node 2's
+	// availability is NaN, so every mapping touching it predicts NaN.
 	f := newFixture(t, []int{0, 1})
 	snap := monitor.IdleSnapshot(f.topo.NumNodes())
 	snap.AvailCPU[2] = math.NaN()
-	ms := []Mapping{{2, 3}, {0, 1}, {2, 1}}
-	preds, best, err := f.eval.Compare(ms, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(preds[0].Seconds) || !math.IsNaN(preds[2].Seconds) {
-		t.Fatalf("expected NaN predictions for node-2 mappings: %v, %v",
-			preds[0].Seconds, preds[2].Seconds)
-	}
-	if best != 1 {
-		t.Fatalf("best = %d (%.6g), want the only finite candidate 1", best, preds[best].Seconds)
+	for _, tc := range []struct {
+		name string
+		ms   []Mapping
+		want int
+	}{
+		{"NaN first", []Mapping{{2, 3}, {0, 1}, {2, 1}}, 1},
+		{"all NaN", []Mapping{{2, 3}, {2, 1}}, 0},
+		{"ties", []Mapping{{4, 5}, {0, 1}, {0, 1}}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			preds, best, err := f.eval.Compare(tc.ms, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, m := range tc.ms {
+				if touchesNaN := m[0] == 2 || m[1] == 2; touchesNaN != math.IsNaN(preds[i].Seconds) {
+					t.Fatalf("mapping %v predicted %v", m, preds[i].Seconds)
+				}
+			}
+			if best != tc.want {
+				t.Fatalf("best = %d (%.6g), want %d", best, preds[best].Seconds, tc.want)
+			}
+		})
 	}
 }
 

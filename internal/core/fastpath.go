@@ -1,7 +1,9 @@
-// Fast-path mapping evaluation: an allocation-free scoring routine
-// (Scorer.Energy, identical to Predict(...).Seconds) plus incremental
-// delta-evaluation of typed moves (Scorer.Apply/Undo), the throughput
-// engine behind the CS/NCS/GA schedulers.
+// Fast-path mapping evaluation: the one implementation of eqs. 4–8. A
+// Scorer evaluates a mapping into flat per-(segment,proc) R and C terms;
+// Evaluator.Predict is one full Scorer evaluation plus the breakdown read
+// off those terms, Scorer.Energy returns only the total without
+// allocating, and Scorer.Apply/Undo delta-evaluate typed moves — the
+// throughput engine behind the CS/NCS/GA schedulers.
 //
 // The evaluator precomputes, once per (topology, model, profile) triple:
 //
@@ -22,15 +24,18 @@
 // nodes — and rebuilds the total from per-segment maxima, so the running
 // energy is always bit-identical to a fresh full evaluation.
 //
-// Invariants (checked by TestFastPathEquivalence and FuzzEnergyDelta):
+// Invariants (checked against the eq-by-eq test oracle referencePredict by
+// TestFastPathEquivalence, TestPredictMatchesReference and FuzzEnergyDelta):
 //
-//	Scorer.Energy(m, snap)      == Predict(m, snap).Seconds   (exactly)
+//	Predict(m, snap)            == referencePredict(m, snap)  (whole Prediction)
+//	Scorer.Energy(m, snap)      == referencePredict(...).Seconds (exactly)
 //	Scorer.Apply(mv); EnergyNow == Energy(moved m, snap)      (exactly)
 //	Scorer.Undo() restores the pre-Apply state                (exactly)
 package core
 
 import (
 	"fmt"
+	"slices"
 
 	"cbes/internal/cluster"
 	"cbes/internal/monitor"
@@ -62,7 +67,7 @@ type fastIndex struct {
 	topo     *cluster.Topology
 	speed    []float64 // per node: profile speed with nominal fallback
 	cpus     []int     // per node: CPU count
-	// flat is every segment's ProcProfile in Predict iteration order;
+	// flat is every segment's ProcProfile in profile order;
 	// segOff[s] is the first flat index of segment s (len = segments+1).
 	flat   []*profile.ProcProfile
 	segOff []int
@@ -186,9 +191,10 @@ type Scorer struct {
 	ix   *fastIndex
 	snap *monitor.Snapshot
 	// avail/nic are the effective per-node resource views: the snapshot's
-	// forecasts with profile-only fallback values substituted for stale
-	// (HealthSuspect) nodes — the same degraded-mode rule Predict applies,
-	// so the fast path stays bit-identical to the full evaluation.
+	// forecasts with profile-only fallback values (nominal CPU
+	// availability, idle NIC) substituted for stale (HealthSuspect) nodes —
+	// degraded mode: the prediction trusts only what the profile supports
+	// rather than forecasts past their TTL.
 	avail []float64
 	nic   []float64
 
@@ -230,8 +236,8 @@ func (e *Evaluator) Scorer() *Scorer {
 }
 
 // loadSnapshot fills the scorer's effective resource views from snap,
-// applying the degraded-mode substitution for stale nodes (cf.
-// degradedSnapshot). O(nodes), allocation-free.
+// applying the degraded-mode substitution for stale nodes. O(nodes),
+// allocation-free.
 func (s *Scorer) loadSnapshot(snap *monitor.Snapshot) {
 	s.snap = snap
 	copy(s.avail, snap.AvailCPU)
@@ -245,18 +251,28 @@ func (s *Scorer) loadSnapshot(snap *monitor.Snapshot) {
 }
 
 // Energy fully evaluates mapping m under snap, primes the scorer's
-// incremental state with it, and returns the predicted execution time. The
-// result equals Predict(m, snap).Seconds exactly. Any pending undo history
+// incremental state with it, and returns the predicted execution time —
+// Predict(m, snap).Seconds without the breakdown. Any pending undo history
 // is discarded.
 func (s *Scorer) Energy(m Mapping, snap *monitor.Snapshot) (float64, error) {
+	if err := s.load(m, snap); err != nil {
+		return 0, err
+	}
+	metricEnergyFull.Inc()
+	return s.total, nil
+}
+
+// load is the full evaluation behind Energy and Predict: it validates m,
+// scores every flat entry, and primes the incremental state.
+func (s *Scorer) load(m Mapping, snap *monitor.Snapshot) error {
 	if len(m) != s.e.Prof.Ranks {
-		return 0, fmt.Errorf("core: mapping has %d ranks, profile has %d", len(m), s.e.Prof.Ranks)
+		return fmt.Errorf("core: mapping has %d ranks, profile has %d", len(m), s.e.Prof.Ranks)
 	}
 	if err := m.Validate(s.e.Topo); err != nil {
-		return 0, err
+		return err
 	}
-	if _, err := checkNodesUp(m, snap); err != nil {
-		return 0, err
+	if err := checkNodesUp(m, snap); err != nil {
+		return err
 	}
 	s.loadSnapshot(snap)
 	copy(s.m, m)
@@ -276,8 +292,51 @@ func (s *Scorer) Energy(m Mapping, snap *monitor.Snapshot) (float64, error) {
 	s.total = s.sumSegments()
 	s.depth = 0
 	s.primed = true
-	metricEnergyFull.Inc()
-	return s.total, nil
+	return nil
+}
+
+// prediction builds the full Prediction of the scorer's current state from
+// its flat term arrays: one ProcEstimate per entry (sliced per segment out
+// of a single backing array), each segment's maximum and critical rank by
+// the first-strictly-greater rule segmentMax uses, and the degraded-mode
+// markers for mapped nodes whose snapshot data is stale.
+func (s *Scorer) prediction() *Prediction {
+	ix := s.ix
+	pred := &Prediction{Mapping: s.m.Clone(), Seconds: s.total}
+	procs := make([]ProcEstimate, len(ix.flat))
+	for f, pp := range ix.flat {
+		procs[f] = ProcEstimate{Rank: pp.Rank, R: s.r[f], C: s.c[f]}
+	}
+	if len(s.segMax) > 0 {
+		pred.Segments = make([]SegmentEstimate, len(s.segMax))
+	}
+	for seg := range pred.Segments {
+		se := &pred.Segments[seg]
+		se.Name = s.e.Prof.Segments[seg].Name
+		se.Critical = -1
+		lo, hi := ix.segOff[seg], ix.segOff[seg+1]
+		if lo == hi {
+			continue
+		}
+		se.Procs = procs[lo:hi:hi]
+		for _, pe := range se.Procs {
+			if t := pe.Total(); se.Critical < 0 || t > se.Seconds {
+				se.Seconds = t
+				se.Critical = pe.Rank
+			}
+		}
+	}
+	for _, n := range s.m {
+		if s.snap.HealthOf(n) == monitor.HealthSuspect && !slices.Contains(pred.StaleNodes, n) {
+			pred.StaleNodes = append(pred.StaleNodes, n)
+		}
+	}
+	if pred.StaleNodes != nil {
+		slices.Sort(pred.StaleNodes)
+		pred.Degraded = true
+		metricDegradedPredicts.Inc()
+	}
+	return pred
 }
 
 // EnergyNow returns the energy of the scorer's current state.
@@ -427,7 +486,8 @@ func (s *Scorer) touchList(fs []int32) {
 // rescoreTouched recomputes R and C for every touched entry (recording the
 // old values in the undo frame), refreshes the maxima of the segments they
 // belong to, and rebuilds the total as the fresh segment sum — the same
-// summation order as Predict, keeping the running energy bit-identical.
+// summation order as a full evaluation, keeping the running energy
+// bit-identical.
 func (s *Scorer) rescoreTouched(fr *frame) {
 	metricDeltaTouched.Add(uint64(len(s.touched)))
 	for _, f := range s.touched {
@@ -460,8 +520,8 @@ func (s *Scorer) segmentOf(f int32) int {
 	return lo
 }
 
-// segmentMax scans one segment's totals in entry order, replicating the
-// strictly-greater selection Predict uses (first entry wins ties).
+// segmentMax scans one segment's totals in entry order with the
+// strictly-greater selection (first entry wins ties).
 func (s *Scorer) segmentMax(seg int) float64 {
 	lo, hi := s.ix.segOff[seg], s.ix.segOff[seg+1]
 	if lo == hi {
@@ -484,8 +544,7 @@ func (s *Scorer) sumSegments() float64 {
 	return total
 }
 
-// computeR is eq. 5 on precomputed tables — the same arithmetic as
-// Evaluator.computeTerm.
+// computeR is R_i of eq. 5 on precomputed tables.
 func (s *Scorer) computeR(f int32) float64 {
 	pp := s.ix.flat[f]
 	node := s.m[pp.Rank]
@@ -503,8 +562,8 @@ func (s *Scorer) computeR(f int32) float64 {
 	return (pp.X + pp.O) * (pp.ProfSpeed / speed) * (1 / acpu)
 }
 
-// computeC is eqs. 6 and 8 on the dense class table — the same arithmetic
-// and accumulation order as Evaluator.commTerm/profile.Theta.
+// computeC is C_i = λ_i · Θ_i (eqs. 6 and 8) on the dense class table,
+// accumulating Θ over the receive groups and then the send groups.
 func (s *Scorer) computeC(f int32) float64 {
 	if s.e.IgnoreComm {
 		return 0
@@ -525,18 +584,25 @@ func (s *Scorer) computeC(f int32) float64 {
 }
 
 func (s *Scorer) latency(src, dst int, size int64) float64 {
+	return s.ix.latency(src, dst, size, s.avail[src], s.avail[dst], s.nic[src], s.nic[dst])
+}
+
+// latency is the load-adjusted latency estimate Lc of the pair's path
+// class under explicit conditions (CPU availability and NIC utilization
+// at each end). It panics on an uncalibrated pair, like
+// netmodel.Model.LatencyCond.
+func (ix *fastIndex) latency(src, dst int, size int64, aSrc, aDst, uSrc, uDst float64) float64 {
 	var id int
-	if tbl := s.ix.classTbl; tbl != nil {
-		id = int(tbl[src*s.ix.nodes+dst])
+	if ix.classTbl != nil {
+		id = int(ix.classTbl[src*ix.nodes+dst])
 	} else {
-		id = s.ix.topo.ClassID(src, dst)
+		id = ix.topo.ClassID(src, dst)
 	}
-	c := s.ix.classes[id]
+	c := ix.classes[id]
 	if c == nil {
-		// Same failure mode as Model.Latency on an uncalibrated pair.
 		panic(fmt.Sprintf("netmodel: no calibration for pair (%d,%d)", src, dst))
 	}
-	return c.Latency(size, s.avail[src], s.avail[dst], s.nic[src], s.nic[dst])
+	return c.Latency(size, aSrc, aDst, uSrc, uDst)
 }
 
 // Energy is the allocation-free counterpart of Predict(m, snap).Seconds:
@@ -544,11 +610,16 @@ func (s *Scorer) latency(src, dst int, size int64) float64 {
 // the total. The evaluator stays shareable — concurrent callers draw
 // distinct scorers from the pool.
 func (e *Evaluator) Energy(m Mapping, snap *monitor.Snapshot) (float64, error) {
-	s, _ := e.pool.Get().(*Scorer)
-	if s == nil {
-		s = e.Scorer()
+	s := e.pooled()
+	defer e.pool.Put(s)
+	return s.Energy(m, snap)
+}
+
+// pooled draws a scorer from the evaluator's pool (return it with
+// e.pool.Put), building one on first use.
+func (e *Evaluator) pooled() *Scorer {
+	if s, _ := e.pool.Get().(*Scorer); s != nil {
+		return s
 	}
-	en, err := s.Energy(m, snap)
-	e.pool.Put(s)
-	return en, err
+	return e.Scorer()
 }

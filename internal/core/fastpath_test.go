@@ -102,13 +102,13 @@ func assertClose(t *testing.T, got, want float64, what string) {
 	t.Helper()
 	tol := 1e-12 * math.Max(1, math.Abs(want))
 	if diff := math.Abs(got - want); diff > tol || math.IsNaN(got) != math.IsNaN(want) {
-		t.Fatalf("%s: fast %v != predict %v (diff %g)", what, got, want, diff)
+		t.Fatalf("%s: fast %v != reference %v (diff %g)", what, got, want, diff)
 	}
 }
 
-// TestFastPathEquivalence: Energy ≡ Predict(...).Seconds over randomized
-// topologies, profiles, snapshots, and mappings — the acceptance-criteria
-// cross-check (run under -race in CI).
+// TestFastPathEquivalence: Energy ≡ referencePredict(...).Seconds over
+// randomized topologies, profiles, snapshots, and mappings — the fast path
+// checked against the independent eq-by-eq oracle (run under -race in CI).
 func TestFastPathEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		eval, rng := syntheticEvaluator(t, seed)
@@ -117,7 +117,7 @@ func TestFastPathEquivalence(t *testing.T) {
 		sc := eval.Scorer()
 		for trial := 0; trial < 25; trial++ {
 			m := randomValidMapping(eval.Prof.Ranks, n, rng)
-			pred, err := eval.Predict(m, snap)
+			pred, err := referencePredict(eval, m, snap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +138,7 @@ func TestFastPathEquivalence(t *testing.T) {
 
 // TestEnergyDeltaNoDrift walks long random move/swap sequences (the classic
 // incremental-evaluator failure mode) and checks after every Apply that the
-// running energy matches a fresh full prediction, that Undo restores the
+// running energy matches the oracle's fresh prediction, that Undo restores the
 // previous energy exactly, and that unwinding the whole journal returns to
 // the initial state.
 func TestEnergyDeltaNoDrift(t *testing.T) {
@@ -164,7 +164,7 @@ func TestEnergyDeltaNoDrift(t *testing.T) {
 			before := sc.EnergyNow()
 			got := sc.Apply(mv)
 			applied++
-			pred, err := eval.Predict(sc.Current(), snap)
+			pred, err := referencePredict(eval, sc.Current(), snap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +190,8 @@ func TestEnergyDeltaNoDrift(t *testing.T) {
 }
 
 // TestCommBlindFastPath: the NCS evaluator derived with CommBlind matches
-// its own Predict, stays below the full prediction, and shares the index.
+// the oracle's comm-blind prediction, stays below the full prediction, and
+// shares the index.
 func TestCommBlindFastPath(t *testing.T) {
 	eval, rng := syntheticEvaluator(t, 7)
 	blind := eval.CommBlind()
@@ -202,7 +203,7 @@ func TestCommBlindFastPath(t *testing.T) {
 	sc := blind.Scorer()
 	for trial := 0; trial < 20; trial++ {
 		m := randomValidMapping(eval.Prof.Ranks, n, rng)
-		pred, err := blind.Predict(m, snap)
+		pred, err := referencePredict(blind, m, snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +309,7 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 
 // FuzzEnergyDelta drives the incremental evaluator with fuzz-derived move
 // sequences on a fixed synthetic fixture, cross-checking every step against
-// a fresh Predict.
+// a fresh referencePredict.
 func FuzzEnergyDelta(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5})
 	f.Add(int64(2), []byte{0xff, 0x80, 0x01, 0x40, 0x7f})
@@ -335,12 +336,12 @@ func FuzzEnergyDelta(f *testing.F) {
 				mv = Move{Rank: (a >> 1) % ranks, To: b % n}
 			}
 			got := sc.Apply(mv)
-			pred, err := eval.Predict(sc.Current(), snap)
+			pred, err := referencePredict(eval, sc.Current(), snap)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if diff := math.Abs(got - pred.Seconds); diff > 1e-12*math.Max(1, math.Abs(pred.Seconds)) {
-				t.Fatalf("move %d: fast %v != predict %v", i/2, got, pred.Seconds)
+				t.Fatalf("move %d: fast %v != reference %v", i/2, got, pred.Seconds)
 			}
 		}
 	})

@@ -86,8 +86,8 @@ func TestPredictDegradesOnStaleNode(t *testing.T) {
 }
 
 // TestScorerMatchesPredictUnderFaults extends the fast-path equivalence
-// invariant to degraded snapshots: Energy must equal Predict.Seconds
-// exactly even when some nodes are suspect.
+// invariant to degraded snapshots: Energy must equal the oracle's
+// referencePredict.Seconds exactly even when some nodes are suspect.
 func TestScorerMatchesPredictUnderFaults(t *testing.T) {
 	f := newFixture(t, []int{0, 1})
 	snap := healthSnap(f.topo.NumNodes(), map[int]monitor.Health{
@@ -101,16 +101,16 @@ func TestScorerMatchesPredictUnderFaults(t *testing.T) {
 
 	sc := f.eval.Scorer()
 	for _, m := range []Mapping{{0, 1}, {1, 6}, {2, 3}, {6, 6}, {0, 7}} {
-		pred, err := f.eval.Predict(m, snap)
+		pred, err := referencePredict(f.eval, m, snap)
 		if err != nil {
-			t.Fatalf("Predict(%v): %v", m, err)
+			t.Fatalf("referencePredict(%v): %v", m, err)
 		}
 		got, err := sc.Energy(m, snap)
 		if err != nil {
 			t.Fatalf("Energy(%v): %v", m, err)
 		}
 		if got != pred.Seconds {
-			t.Fatalf("Energy(%v) = %v, Predict = %v (must be bit-identical)", m, got, pred.Seconds)
+			t.Fatalf("Energy(%v) = %v, reference = %v (must be bit-identical)", m, got, pred.Seconds)
 		}
 	}
 }

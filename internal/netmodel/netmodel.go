@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"cbes/internal/cluster"
-	"cbes/internal/monitor"
 )
 
 // maxNICUtil caps the NIC utilization used in the queueing term.
@@ -213,13 +212,6 @@ func queueFactor(u float64) float64 {
 		u = maxNICUtil
 	}
 	return u / (1 - u)
-}
-
-// Latency returns Lc for the pair under the monitored snapshot — the form
-// eq. 6 consumes.
-func (m *Model) Latency(src, dst int, size int64, snap *monitor.Snapshot) float64 {
-	return m.LatencyCond(src, dst, size,
-		snap.AvailCPU[src], snap.AvailCPU[dst], snap.NICUtil[src], snap.NICUtil[dst])
 }
 
 // Spread reports the relative spread (max−min)/min of no-load small-message

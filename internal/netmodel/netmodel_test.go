@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"cbes/internal/cluster"
-	"cbes/internal/monitor"
 )
 
 func TestCurveInterpolation(t *testing.T) {
@@ -108,17 +107,6 @@ func TestLoadAdjustment(t *testing.T) {
 	capped := m.LatencyCond(0, 1, 64<<10, 1, 1, 0.99, 0)
 	if math.Abs(capped-bigIdle-wire*9) > 1e-9 {
 		t.Fatalf("cap failed: %v", capped-bigIdle)
-	}
-}
-
-func TestLatencyWithSnapshot(t *testing.T) {
-	m, topo := testModel(t)
-	snap := monitor.IdleSnapshot(topo.NumNodes())
-	snap.AvailCPU[0] = 0.5
-	got := m.Latency(0, 1, 64, snap)
-	want := m.LatencyCond(0, 1, 64, 0.5, 1, 0, 0)
-	if got != want {
-		t.Fatalf("Latency = %v, want %v", got, want)
 	}
 }
 

@@ -261,49 +261,18 @@ func randomMapping(req *Request, rng *rand.Rand) core.Mapping {
 	return m
 }
 
-// neighbor proposes a small random modification of a mapping: either move
-// one rank to a node with free capacity, or swap the nodes of two ranks.
-// It is the mapping-copying mutation operator of the GA scheduler; SA
-// proposes the equivalent typed moves through proposeMove instead.
-func neighbor(req *Request, m core.Mapping, rng *rand.Rand) core.Mapping {
-	slots := req.slots()
-	nm := m.Clone()
-	if rng.Intn(2) == 0 && len(m) >= 2 {
-		// Swap two ranks — retrying past degenerate pairs (same rank or
-		// same node) that would produce an identical mapping and waste an
-		// energy evaluation.
-		for attempt := 0; attempt < 8; attempt++ {
-			i, j := rng.Intn(len(nm)), rng.Intn(len(nm))
-			if i == j || nm[i] == nm[j] {
-				continue
-			}
-			nm[i], nm[j] = nm[j], nm[i]
-			return nm
-		}
-		// Every sampled swap was degenerate (e.g. all ranks co-located):
-		// fall through to a move.
-	}
-	// Move one rank to a node with spare capacity.
-	used := nm.Multiplicity()
-	i := rng.Intn(len(nm))
-	for attempts := 0; attempts < 8*len(req.Pool); attempts++ {
-		n := req.Pool[rng.Intn(len(req.Pool))]
-		if n != nm[i] && used[n] < slots {
-			nm[i] = n
-			return nm
-		}
-	}
-	return nm // saturated pool: fall back to unchanged (swap next time)
-}
-
-// proposeMove draws a typed move for the incremental SA fast path: the
-// same proposal distribution as neighbor, but expressed as a core.Move
-// against the scorer's current state instead of a fresh mapping copy.
-// ok=false means no non-degenerate move was found (saturated pool).
-func proposeMove(req *Request, sc *core.Scorer, rng *rand.Rand) (core.Move, bool) {
-	m := sc.Current()
+// proposeMove draws a small random modification of mapping m as a typed
+// move: either swap the nodes of two ranks or move one rank to a pool node
+// with spare capacity, where load reports how many ranks m places on a
+// node. SA proposes against its scorer's state; the GA's mutation applies
+// the move to a copy. ok=false means no non-degenerate move was found
+// (saturated pool).
+func proposeMove(req *Request, m core.Mapping, load func(node int) int, rng *rand.Rand) (core.Move, bool) {
 	slots := req.slots()
 	if rng.Intn(2) == 0 && len(m) >= 2 {
+		// Retry past degenerate pairs (same rank or same node) that would
+		// leave the mapping unchanged and waste an energy evaluation; if
+		// every sampled swap is degenerate, fall through to a move.
 		for attempt := 0; attempt < 8; attempt++ {
 			i, j := rng.Intn(len(m)), rng.Intn(len(m))
 			if i != j && m[i] != m[j] {
@@ -314,20 +283,11 @@ func proposeMove(req *Request, sc *core.Scorer, rng *rand.Rand) (core.Move, bool
 	i := rng.Intn(len(m))
 	for attempts := 0; attempts < 8*len(req.Pool); attempts++ {
 		n := req.Pool[rng.Intn(len(req.Pool))]
-		if n != m[i] && sc.NodeLoad(n) < slots {
+		if n != m[i] && load(n) < slots {
 			return core.Move{Rank: i, To: n}, true
 		}
 	}
 	return core.Move{}, false
-}
-
-// predictFull evaluates a mapping with the full CBES operation.
-func predictFull(req *Request, m core.Mapping) float64 {
-	p, err := req.Eval.Predict(m, req.Snap)
-	if err != nil {
-		panic(fmt.Sprintf("schedule: predict: %v", err))
-	}
-	return p.Seconds
 }
 
 // Random is the RS scheduler: an arbitrary valid mapping, no evaluation.
@@ -348,9 +308,13 @@ func Random(req *Request) (d *Decision, err error) {
 		}
 		m = randomMapping(req, rng)
 	}
+	predicted, err := req.Eval.Energy(m, req.Snap)
+	if err != nil {
+		return nil, err
+	}
 	d = &Decision{
 		Mapping:       m,
-		Predicted:     predictFull(req, m),
+		Predicted:     predicted,
 		Score:         math.NaN(),
 		SchedulerTime: time.Since(start),
 	}
@@ -397,7 +361,7 @@ func saRestart(ctx context.Context, req *Request, sign float64, seed int64, budg
 	}, anneal.IncrementalProblem[core.Move]{
 		InitialEnergy: penalize(sign * raw),
 		Propose: func(rr *rand.Rand) (core.Move, bool) {
-			return proposeMove(req, sc, rr)
+			return proposeMove(req, sc.Current(), sc.NodeLoad, rr)
 		},
 		Apply: func(mv core.Move) float64 {
 			return penalize(sign * sc.Apply(mv))
@@ -551,9 +515,13 @@ func SimulatedAnnealingNoComm(req *Request) (d *Decision, err error) {
 	if err != nil {
 		return nil, err
 	}
+	predicted, err := req.Eval.Energy(best, req.Snap)
+	if err != nil {
+		return nil, err
+	}
 	return &Decision{
 		Mapping:       best,
-		Predicted:     predictFull(req, best),
+		Predicted:     predicted,
 		Score:         bestE,
 		Evaluations:   evals,
 		SchedulerTime: time.Since(start),
@@ -622,7 +590,17 @@ func Genetic(req *Request) (d *Decision, err error) {
 			return repair(child, rng)
 		},
 		Mutate: func(m core.Mapping, rng *rand.Rand) core.Mapping {
-			return neighbor(req, m, rng)
+			nm := m.Clone()
+			used := m.Multiplicity()
+			mv, ok := proposeMove(req, m, func(node int) int { return used[node] }, rng)
+			switch {
+			case !ok:
+			case mv.Swap:
+				nm[mv.A], nm[mv.B] = nm[mv.B], nm[mv.A]
+			default:
+				nm[mv.Rank] = mv.To
+			}
+			return nm
 		},
 	})
 	if st.Cancelled {

@@ -131,25 +131,37 @@ func predKey(app string, mapping []int, epoch uint64) string {
 	return string(buf)
 }
 
-// predictCached serves one prediction through the cache: a hit returns
-// the shared cached prediction, a miss evaluates and fills; the second
-// return value reports which happened (feeding the decision record's
-// cache outcome). The caller supplies the view so the epoch in the key
-// matches the snapshot being evaluated against, and a context whose
-// active span parents the lookup/evaluation spans. With the cache
-// disabled (nil) it degenerates to a plain (unspanned) Predict.
-func (s *Server) predictCached(ctx context.Context, v *view, app string, eval *core.Evaluator, m core.Mapping) (*core.Prediction, bool, error) {
-	if s.cache == nil {
-		pred, err := eval.Predict(m, v.snap)
-		return pred, false, err
-	}
+// predict serves one full prediction through the epoch cache. A hit
+// returns the shared cached prediction without touching the admission
+// limiter — the cached answer IS the full answer. A miss must hold an
+// expensive-class slot (DESIGN.md §15) before evaluating: admitted=true
+// says the caller already holds one covering this lookup (a Compare
+// batch, a Schedule flight); otherwise, with a limiter installed, the
+// miss acquires its own and returns the limiter's error — ErrShed when
+// refused — without evaluating. The second return value reports a cache
+// hit (feeding the decision record's cache outcome). The caller supplies
+// the view so the epoch in the key matches the snapshot being evaluated
+// against, and a context whose active span parents the lookup and
+// evaluation spans.
+func (s *Server) predict(ctx context.Context, v *view, app string, eval *core.Evaluator, m core.Mapping, admitted bool) (*core.Prediction, bool, error) {
 	span, ctx := obs.StartSpan(ctx, "cache.lookup")
-	key := predKey(app, m, v.epoch)
-	if pred, ok := s.cache.get(key); ok {
-		span.Attr("hit", true).End()
-		return pred, true, nil
+	key := ""
+	if s.cache != nil {
+		key = predKey(app, m, v.epoch)
+		if pred, ok := s.cache.get(key); ok {
+			span.Attr("hit", true).End()
+			return pred, true, nil
+		}
 	}
 	span.Attr("hit", false)
+	if s.lim != nil && !admitted {
+		tk, err := s.lim.Acquire(ctx, admission.Expensive)
+		if err != nil {
+			span.Attr("shed", errors.Is(err, admission.ErrShed)).End()
+			return nil, false, err
+		}
+		defer s.lim.Release(tk)
+	}
 	pspan, _ := obs.StartSpan(ctx, "core.predict")
 	pred, err := eval.Predict(m, v.snap)
 	if err != nil {
@@ -158,56 +170,11 @@ func (s *Server) predictCached(ctx context.Context, v *view, app string, eval *c
 		return nil, false, err
 	}
 	pspan.End()
-	s.cache.put(key, pred)
-	span.End()
-	return pred, false, nil
-}
-
-// predictAdmitted is predictCached with admission control on the
-// compute path (DESIGN.md §15): an epoch-cache hit is served without
-// touching the limiter — the cached answer IS the full answer, so the
-// cheap class degenerates to free — while a miss must win an
-// expensive-class slot before evaluating. shed=true (with no prediction
-// and no error) reports that the limiter refused the compute; the
-// caller falls back to the brownout path. With no limiter installed it
-// degenerates to predictCached exactly.
-func (s *Server) predictAdmitted(ctx context.Context, v *view, app string, eval *core.Evaluator, m core.Mapping) (pred *core.Prediction, hit, shed bool, err error) {
-	if s.lim == nil {
-		pred, hit, err = s.predictCached(ctx, v, app, eval, m)
-		return pred, hit, false, err
-	}
-	span, ctx := obs.StartSpan(ctx, "cache.lookup")
-	key := ""
-	if s.cache != nil {
-		key = predKey(app, m, v.epoch)
-		if pred, ok := s.cache.get(key); ok {
-			span.Attr("hit", true).End()
-			return pred, true, false, nil
-		}
-	}
-	span.Attr("hit", false)
-	tk, aerr := s.lim.Acquire(ctx, admission.Expensive)
-	if aerr != nil {
-		span.Attr("shed", true).End()
-		if errors.Is(aerr, admission.ErrShed) {
-			return nil, false, true, nil
-		}
-		return nil, false, false, aerr
-	}
-	defer s.lim.Release(tk)
-	pspan, _ := obs.StartSpan(ctx, "core.predict")
-	pred, err = eval.Predict(m, v.snap)
-	if err != nil {
-		pspan.Error(err).End()
-		span.Error(err).End()
-		return nil, false, false, err
-	}
-	pspan.End()
 	if s.cache != nil {
 		s.cache.put(key, pred)
 	}
 	span.End()
-	return pred, false, false, nil
+	return pred, false, nil
 }
 
 // predictBrownoutCached serves one profile-only brownout prediction

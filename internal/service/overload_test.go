@@ -60,7 +60,9 @@ func TestErrorCodesSurviveWireFlatteningRetr(t *testing.T) {
 	}
 }
 
-func wrap(err error) error { return errors.Join(errors.New("service: Evaluate: lost in the mail"), err) }
+func wrap(err error) error {
+	return errors.Join(errors.New("service: Evaluate: lost in the mail"), err)
+}
 
 // tinyLimiter pins the concurrency limit to one slot with no queue, so a
 // single held ticket makes admission outcomes deterministic.
@@ -160,9 +162,48 @@ func TestCompareBrownoutUnderShed(t *testing.T) {
 	}
 }
 
+// Explain is admitted like Evaluate but has no brownout — the breakdown
+// is the answer — so with the limiter saturated a cold Explain sheds,
+// while a cached one is served without touching the limiter.
+func TestExplainShedsColdServesCached(t *testing.T) {
+	srv, prog, _ := newLocalServer(t)
+	lim := tinyLimiter()
+	srv.SetAdmission(lim)
+	var warm ExplainReply
+	if err := srv.Explain(&ExplainArgs{App: prog.Name, Mapping: []int{0, 1, 2, 3}}, &warm); err != nil {
+		t.Fatal(err)
+	}
+
+	tk, err := lim.Acquire(context.Background(), admission.Expensive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lim.Release(tk)
+
+	var cold ExplainReply
+	err = srv.Explain(&ExplainArgs{App: prog.Name, Mapping: []int{4, 5, 6, 7}}, &cold)
+	if !IsShed(err) {
+		t.Fatalf("cold Explain under a saturated limiter: err = %v, want shed", err)
+	}
+	recs := srv.rec.Decisions(obs.DecisionQuery{Kind: "explain", App: prog.Name, N: 1})
+	if len(recs) != 1 || recs[0].Brownout || !strings.Contains(recs[0].Err, "cbes:shed") {
+		t.Fatalf("decision record = %+v, want a shed error without brownout", recs)
+	}
+
+	var cached ExplainReply
+	if err := srv.Explain(&ExplainArgs{App: prog.Name, Mapping: []int{0, 1, 2, 3}}, &cached); err != nil {
+		t.Fatalf("cached Explain under a saturated limiter: %v", err)
+	}
+	if cached.Text != warm.Text || cached.Seconds != warm.Seconds {
+		t.Fatalf("cached Explain = %+v, want repeat of %+v", cached, warm)
+	}
+}
+
 // Schedule has no brownout — an unsearched mapping is wrong, not
 // cheaper — so a shed Schedule returns ErrShed and leaves a Shed
-// decision record explaining the refusal.
+// decision record explaining the refusal. An admitted Schedule's
+// post-search lookup runs under its flight's ticket, so it is served
+// even when that ticket is the limiter's only slot.
 func TestScheduleShedRecordsDecision(t *testing.T) {
 	srv, prog, _ := newLocalServer(t)
 	lim := tinyLimiter()
@@ -171,7 +212,6 @@ func TestScheduleShedRecordsDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lim.Release(tk)
 
 	var reply ScheduleReply
 	err = srv.Schedule(&ScheduleArgs{App: prog.Name, Algorithm: "rs", Pool: []int{0, 1, 2, 3}, Seed: 1}, &reply)
@@ -184,6 +224,15 @@ func TestScheduleShedRecordsDecision(t *testing.T) {
 	}
 	if !strings.Contains(recs[0].Err, "cbes:shed") {
 		t.Fatalf("decision error = %q, want the wire shed code", recs[0].Err)
+	}
+
+	lim.Release(tk)
+	if err := srv.Schedule(&ScheduleArgs{App: prog.Name, Algorithm: "rs", Pool: []int{0, 1, 2, 3}, Seed: 2}, &reply); err != nil {
+		t.Fatal(err)
+	}
+	recs = srv.rec.Decisions(obs.DecisionQuery{Kind: "schedule", App: prog.Name, N: 1})
+	if len(recs) != 1 || recs[0].Err != "" || recs[0].CacheLookups != 1 {
+		t.Fatalf("decision record = %+v, want the post-search lookup served", recs)
 	}
 }
 

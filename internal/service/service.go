@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"net/rpc"
@@ -197,7 +196,7 @@ func (s *Server) intercept(method string, meta TraceMeta, fn func(ctx context.Co
 	rpcInflight.Add(1)
 	s.inflight.Add(1)
 	defer rpcInflight.Add(-1)
-	defer s.inflight.Done()
+	defer s.inflight.Add(-1)
 	start := time.Now()
 	span, ctx, cancel := startRPCSpan(method, meta)
 	defer cancel()
@@ -282,7 +281,7 @@ func (s *Server) interceptRead(method string, meta TraceMeta, fn func(ctx contex
 	rpcInflight.Add(1)
 	s.inflight.Add(1)
 	defer rpcInflight.Add(-1)
-	defer s.inflight.Done()
+	defer s.inflight.Add(-1)
 	start := time.Now()
 	span, ctx, cancel := startRPCSpan(method, meta)
 	defer cancel()
@@ -577,8 +576,11 @@ type Server struct {
 	// (see intercept).
 	lock    chan struct{}
 	timeout time.Duration
-	// inflight tracks requests (not connections) for shutdown draining.
-	inflight sync.WaitGroup
+	// inflight counts requests (not connections) for shutdown draining. A
+	// counter polled by the drain, not a WaitGroup: requests still arrive
+	// on open connections while the drain waits, and a WaitGroup may not
+	// be re-Added while a Wait is in progress.
+	inflight atomic.Int64
 	// view is the epoch-stamped immutable state the read path runs
 	// against; the writer republishes it after every mutation.
 	view atomic.Pointer[view]
@@ -713,15 +715,12 @@ func (s *Server) Evaluate(args *EvaluateArgs, reply *EvaluateReply) error {
 		if err != nil {
 			return err
 		}
-		pred, hit, shed, err := s.predictAdmitted(ctx, v, args.App, eval, core.Mapping(args.Mapping))
+		pred, hit, err := s.predict(ctx, v, args.App, eval, core.Mapping(args.Mapping), false)
 		d.CacheLookups = 1
 		if hit {
 			d.CacheHits = 1
 		}
-		if err != nil {
-			return err
-		}
-		if shed {
+		if errors.Is(err, admission.ErrShed) {
 			// Brownout: the limiter refused the full-service compute, so
 			// answer from the profile-only fast path — a labeled cheaper
 			// answer instead of a rejection (DESIGN.md §15).
@@ -741,6 +740,9 @@ func (s *Server) Evaluate(args *EvaluateArgs, reply *EvaluateReply) error {
 			d.Mapping = args.Mapping
 			d.Predicted = pred.Seconds
 			return nil
+		}
+		if err != nil {
+			return err
 		}
 		reply.TraceID = d.TraceID
 		reply.Seconds = pred.Seconds
@@ -768,7 +770,10 @@ func (s *Server) record(d *obs.Decision, err error) {
 	s.rec.Record(*d)
 }
 
-// Explain predicts one mapping and returns the per-process breakdown.
+// Explain predicts one mapping and returns the per-process breakdown. A
+// cache miss is admitted like Evaluate's, but a shed Explain fails with
+// ErrShed instead of browning out: the breakdown is the answer, and the
+// brownout sketch has none.
 func (s *Server) Explain(args *ExplainArgs, reply *ExplainReply) error {
 	return s.interceptRead("Explain", args.TraceMeta, func(ctx context.Context) (err error) {
 		v := s.view.Load()
@@ -781,7 +786,7 @@ func (s *Server) Explain(args *ExplainArgs, reply *ExplainReply) error {
 		if err != nil {
 			return err
 		}
-		pred, hit, err := s.predictCached(ctx, v, args.App, eval, core.Mapping(args.Mapping))
+		pred, hit, err := s.predict(ctx, v, args.App, eval, core.Mapping(args.Mapping), false)
 		d.CacheLookups = 1
 		if hit {
 			d.CacheHits = 1
@@ -837,12 +842,8 @@ func (s *Server) Compare(args *CompareArgs, reply *CompareReply) error {
 		reply.StaleNodes = make([][]int, len(args.Mappings))
 		reply.PredictionIDs = make([]string, len(args.Mappings))
 		keys := make([]accuracy.Key, len(args.Mappings))
-		// NaN-aware best selection, mirroring core.Evaluator.Compare: a NaN
-		// prediction (corrupt profile or model) must never win by making
-		// every comparison false.
-		best := -1
 		for i, m := range args.Mappings {
-			pred, hit, err := s.predictCached(ctx, v, args.App, eval, core.Mapping(m))
+			pred, hit, err := s.predict(ctx, v, args.App, eval, core.Mapping(m), true)
 			d.CacheLookups++
 			if hit {
 				d.CacheHits++
@@ -853,16 +854,8 @@ func (s *Server) Compare(args *CompareArgs, reply *CompareReply) error {
 			reply.Seconds[i] = pred.Seconds
 			fillDegraded(pred, &reply.Degraded[i], &reply.StaleNodes[i])
 			reply.PredictionIDs[i], keys[i] = s.beginPrediction(ctx, v, args.App, "", m, pred.Seconds, pred.Degraded)
-			if math.IsNaN(pred.Seconds) {
-				continue
-			}
-			if best < 0 || pred.Seconds < reply.Seconds[best] {
-				best = i
-			}
 		}
-		if best < 0 {
-			best = 0 // every candidate NaN: keep the legacy fallback
-		}
+		best := core.Argmin(reply.Seconds)
 		reply.TraceID = d.TraceID
 		reply.Best = best
 		fillBand(s.led.BandFor(keys[best]), &reply.ErrBandLowPct, &reply.ErrBandHighPct, &reply.ErrBandSamples)
@@ -886,23 +879,14 @@ func (s *Server) brownoutCompare(ctx context.Context, d *obs.Decision, eval *cor
 	reply.Degraded = make([]bool, len(args.Mappings))
 	reply.StaleNodes = make([][]int, len(args.Mappings))
 	reply.PredictionIDs = nil // no ledger registration under brownout
-	best := -1
 	for i, m := range args.Mappings {
 		pred, err := s.predictBrownoutCached(ctx, eval, args.App, core.Mapping(m))
 		if err != nil {
 			return err
 		}
 		reply.Seconds[i] = pred.Seconds
-		if math.IsNaN(pred.Seconds) {
-			continue
-		}
-		if best < 0 || pred.Seconds < reply.Seconds[best] {
-			best = i
-		}
 	}
-	if best < 0 {
-		best = 0
-	}
+	best := core.Argmin(reply.Seconds)
 	d.Brownout = true
 	brownoutServed.Inc()
 	reply.TraceID = d.TraceID
@@ -1007,8 +991,8 @@ func scheduleKey(epoch uint64, args *ScheduleArgs) string {
 
 // scheduleOn runs one scheduling search against a view and fills the
 // reply, including the degraded-prediction markers for the chosen
-// mapping (a cache hit in the common case — the search just evaluated
-// it).
+// mapping. That lookup runs under the admission ticket the search's
+// flight already holds; it never acquires a second one.
 func (s *Server) scheduleOn(ctx context.Context, v *view, args *ScheduleArgs, reply *ScheduleReply) (err error) {
 	d := obs.Decision{
 		TraceID: obs.FormatID(obs.TraceIDFromContext(ctx)),
@@ -1030,7 +1014,7 @@ func (s *Server) scheduleOn(ctx context.Context, v *view, args *ScheduleArgs, re
 	reply.Evaluations = dec.Evaluations
 	reply.SchedulerMillis = dec.SchedulerTime.Milliseconds()
 	reply.SchedulerMicros = dec.SchedulerTime.Microseconds()
-	if pred, hit, err := s.predictCached(ctx, v, args.App, eval, dec.Mapping); err == nil {
+	if pred, hit, err := s.predict(ctx, v, args.App, eval, dec.Mapping, true); err == nil {
 		fillDegraded(pred, &reply.Degraded, &reply.StaleNodes)
 		d.CacheLookups = 1
 		if hit {
@@ -1148,7 +1132,7 @@ func (s *Server) Metrics(args *MetricsArgs, reply *MetricsReply) error {
 	rpcInflight.Add(1)
 	s.inflight.Add(1)
 	defer rpcInflight.Add(-1)
-	defer s.inflight.Done()
+	defer s.inflight.Add(-1)
 	start := time.Now()
 	defer func() {
 		rpcRequests.With("Metrics").Inc()
@@ -1304,7 +1288,12 @@ func ServeWith(sys *cbes.System, l net.Listener, opts ServeOptions) error {
 
 	// Drain: in-flight requests get DrainTimeout to finish...
 	done := make(chan struct{})
-	go func() { impl.inflight.Wait(); close(done) }()
+	go func() {
+		for impl.inflight.Load() > 0 {
+			time.Sleep(time.Millisecond)
+		}
+		close(done)
+	}()
 	select {
 	case <-done:
 		// ...and their replies a moment to flush before we cut the wire. A
