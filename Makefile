@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify ci bench bench-quick bench-compare service-bench service-bench-short obs-smoke overload-smoke faults-smoke fuzz
+.PHONY: build test verify ci des-smoke bench bench-quick bench-compare service-bench service-bench-short obs-smoke overload-smoke faults-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,7 @@ verify: build test
 # bodies (also under -race) without paying for steady-state timing.
 ci:
 	$(GO) vet ./...
+	$(MAKE) des-smoke
 	$(GO) test -run xxx -fuzz FuzzEnergyDelta -fuzztime 10s ./internal/core/
 	$(MAKE) faults-smoke
 	$(MAKE) obs-smoke
@@ -26,6 +27,15 @@ ci:
 	$(GO) test -race -timeout 45m ./...
 	$(MAKE) bench-quick
 	$(MAKE) service-bench-short
+
+# Fast gate on the simulation kernel: processes are iter.Pull coroutines,
+# so a scheduling, panic-propagation or goroutine-leak regression shows up
+# here in seconds, before the full race pass. Runs the DES, vcluster and
+# mpisim suites three times under the race detector, plus the root
+# package's leak, determinism and parallel-equivalence tests.
+des-smoke:
+	$(GO) test -race -count=3 ./internal/des/ ./internal/mpisim/ ./internal/vcluster/
+	$(GO) test -race -count=1 -run 'Leak|Determin|Parallel' .
 
 # Run the benchmark suite and archive it as machine-readable JSON
 # (name -> ns/op, allocs/op, evals/s) for cross-commit comparison. The

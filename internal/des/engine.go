@@ -12,7 +12,6 @@
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -81,41 +80,97 @@ func (e *Event) At() Time { return e.at }
 // Scheduled reports whether the event is still pending in the queue.
 func (e *Event) Scheduled() bool { return e != nil && e.index >= 0 }
 
-type eventHeap []*Event
+// eventQueue is a 4-ary min-heap of pending events ordered by (at, seq).
+// That order is strict and total, so the firing order is fully determined
+// by the schedule calls, whatever the heap's shape. Every operation keeps
+// Event.index equal to the event's slot.
+type eventQueue []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether a fires before b.
+func before(a, b *Event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// push inserts ev.
+func (q *eventQueue) push(ev *Event) {
+	ev.index = len(*q)
+	*q = append(*q, ev)
+	q.up(ev.index)
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+// remove takes out and returns the event at slot i.
+func (q *eventQueue) remove(i int) *Event {
+	h := *q
+	n := len(h) - 1
+	ev, last := h[i], h[n]
+	h[n] = nil
+	*q = h[:n]
+	if i < n {
+		h[i] = last
+		if !q.down(i) {
+			q.up(i)
+		}
+	}
+	ev.index = -1
+	return ev
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// up moves the event at slot i towards the root until its parent fires
+// before it.
+func (q eventQueue) up(i int) {
+	ev := q[i]
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !before(ev, q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		q[i].index = i
+		i = parent
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// down moves the event at slot i towards the leaves until it fires before
+// all its children, and reports whether it moved.
+func (q eventQueue) down(i int) bool {
+	ev := q[i]
+	start, n := i, len(q)
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		best := first
+		for c := first + 1; c < min(first+4, n); c++ {
+			if before(q[c], q[best]) {
+				best = c
+			}
+		}
+		if !before(q[best], ev) {
+			break
+		}
+		q[i] = q[best]
+		q[i].index = i
+		i = best
+	}
+	q[i] = ev
+	ev.index = i
+	return i > start
 }
 
 // Engine is a discrete-event simulation kernel. It is not safe for
-// concurrent use from multiple goroutines; simulated processes appear
-// concurrent but are interleaved one at a time by the engine.
+// concurrent use: it may be driven from any goroutine, but from one at a
+// time (callers sharing an engine serialize, e.g. under a mutex).
+// Simulated processes appear concurrent but run one at a time, each only
+// while the engine hands it control.
 type Engine struct {
 	now     Time
-	queue   eventHeap
+	queue   eventQueue
 	seq     uint64
 	running bool
 	procs   int // live simulated processes (diagnostics)
@@ -245,8 +300,7 @@ func (e *Engine) push(ev *Event, at Time) {
 	e.seq++
 	ev.at = at
 	ev.seq = e.seq
-	ev.index = -1
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 }
 
 // Cancel removes a pending event from the queue. Cancelling an event that
@@ -255,8 +309,7 @@ func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.index < 0 {
 		return
 	}
-	heap.Remove(&e.queue, ev.index)
-	e.recycle(ev)
+	e.recycle(e.queue.remove(ev.index))
 }
 
 // Step executes the earliest pending event if its timestamp is <= limit.
@@ -276,7 +329,7 @@ func (e *Engine) step(limit Time) bool {
 	if next.at > limit {
 		return false
 	}
-	heap.Pop(&e.queue)
+	e.queue.remove(0)
 	if next.at > e.now {
 		e.now = next.at
 	}

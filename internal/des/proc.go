@@ -1,19 +1,31 @@
+// The module stays at go 1.22; this file opts into go1.23 for iter.Pull,
+// so the package needs a go1.23 or newer toolchain.
+
+//go:build go1.23
+
 package des
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // procKilled is the sentinel panic value used to unwind a killed process.
 type procKilled struct{}
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// deterministically with the event loop. At most one Proc (or event
-// callback) runs at a time; a Proc gives up control only inside blocking
-// primitives such as Sleep, Park, or Signal.Wait.
+// Proc is a simulated process: an iter.Pull coroutine that runs only while
+// the engine resumes it. At most one Proc (or event callback) runs at a
+// time; a Proc gives up control only inside blocking primitives such as
+// Sleep, Park, or Signal.Wait. A panic in the body other than the kill
+// sentinel propagates to whoever resumed the process, and from there out
+// of Engine.Run or RunUntil.
 type Proc struct {
 	eng     *Engine
 	name    string
-	resume  chan struct{} // engine -> proc
-	yield   chan bool     // proc -> engine; true means the proc exited
+	body    func(p *Proc)
+	next    func() (struct{}, bool) // engine -> proc; false once the body ended
+	stop    func()
+	yield   func(struct{}) bool // proc -> engine
 	done    bool
 	parked  bool
 	killed  bool
@@ -30,62 +42,65 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Done() bool { return p.done }
 
 // Spawn creates a simulated process and schedules its body to start at the
-// current simulated time. The body runs in its own goroutine but is strictly
-// interleaved with the event loop, so no locking is needed between processes.
+// current simulated time. The body only runs while the engine hands it
+// control, so no locking is needed between processes.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan bool),
-	}
+	p := &Proc{eng: e, name: name, body: body}
 	e.procs++
 	if e.live == nil {
 		e.live = make(map[*Proc]struct{})
 	}
 	e.live[p] = struct{}{}
-	e.Schedule(0, func() {
-		if p.done {
-			return // killed by Shutdown before it ever started
-		}
-		p.started = true
-		go func() {
-			<-p.resume
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(procKilled); !ok {
-						panic(r)
-					}
-				}
-				p.done = true
-				p.eng.procs--
-				delete(p.eng.live, p)
-				p.yield <- true
-			}()
-			body(p)
-		}()
-		p.dispatch()
-	})
+	e.ScheduleArg(0, startProc, p)
 	return p
 }
 
-// dispatch transfers control from the engine to the process and blocks until
-// the process parks again or exits. It must only be called from engine
-// context (an event callback).
+// startProc is the start event of a spawned process: it creates the
+// coroutine and runs the body up to its first park.
+func startProc(arg any) {
+	p := arg.(*Proc)
+	if p.done {
+		return // killed by Shutdown before it ever started
+	}
+	p.started = true
+	p.next, p.stop = iter.Pull(p.run)
+	p.dispatch()
+}
+
+// run is the coroutine body: it runs the process body and retires the
+// process when the body returns, is killed, or panics.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		p.done = true
+		p.eng.procs--
+		delete(p.eng.live, p)
+		if r := recover(); r != nil {
+			if _, ok := r.(procKilled); !ok {
+				panic(r)
+			}
+		}
+	}()
+	p.body(p)
+}
+
+// dispatch transfers control from the engine to the process and returns
+// once the process parks again or exits. It must only be called from
+// engine context (an event callback or another running process).
 func (p *Proc) dispatch() {
 	if p.done {
 		panic(fmt.Sprintf("des: dispatch to finished proc %q", p.name))
 	}
-	p.resume <- struct{}{}
-	<-p.yield
+	if _, ok := p.next(); !ok {
+		p.stop()
+	}
 }
 
 // Park blocks the process until another event calls Unpark. It is the
 // low-level primitive beneath Sleep and Signal.
 func (p *Proc) Park() {
 	p.parked = true
-	p.yield <- false
-	<-p.resume
+	p.yield(struct{}{})
 	if p.killed {
 		panic(procKilled{})
 	}
@@ -107,9 +122,12 @@ func (p *Proc) Unpark() {
 	p.dispatch()
 }
 
+// unparkProc is the event form of Unpark, scheduled without a closure.
+func unparkProc(arg any) { arg.(*Proc).Unpark() }
+
 // UnparkLater schedules an Unpark after delay without running it inline.
 func (p *Proc) UnparkLater(delay Time) *Event {
-	return p.eng.Schedule(delay, p.Unpark)
+	return p.eng.ScheduleArg(delay, unparkProc, p)
 }
 
 // Sleep suspends the process for the given simulated duration (clamped to a
@@ -138,7 +156,7 @@ func (p *Proc) Kill() {
 func (p *Proc) Now() Time { return p.eng.Now() }
 
 // Shutdown kills every live parked process. Call it after RunUntil when a
-// simulation ends with daemons still sleeping, so their goroutines do not
+// simulation ends with daemons still sleeping, so their coroutines do not
 // leak. Processes currently holding pending wake-up events are killed too;
 // their stale events become no-ops.
 func (e *Engine) Shutdown() {

@@ -18,8 +18,8 @@ func expectPanic(t *testing.T, what string, fn func()) {
 }
 
 func TestSendToSelfPanics(t *testing.T) {
-	// Misuse panics fire inside the rank's own goroutine, so they must be
-	// recovered there.
+	// Misuse panics fire inside the rank's body; recovered there, the rank
+	// runs on (unrecovered, they would propagate out of Run).
 	vc, net := newWorldEnv()
 	panicked := false
 	Run(vc, net, []int{0, 1}, func(r *Rank) {

@@ -164,13 +164,13 @@ func (m *Model) LatencyCond(src, dst int, size int64, aSrc, aDst, uSrc, uDst flo
 // signature-lookup path — the invariant the core fast path relies on.
 func (c *Class) Latency(size int64, aSrc, aDst, uSrc, uDst float64) float64 {
 	l := c.Curve.At(size)
+	wire := l - c.Curve.Base()
 	if aSrc > 0 && aSrc < 1 {
 		l += c.CSend * (1/aSrc - 1)
 	}
 	if aDst > 0 && aDst < 1 {
 		l += c.CRecv * (1/aDst - 1)
 	}
-	wire := c.Curve.At(size) - c.Curve.Base()
 	if wire > 0 {
 		l += wire * (queueFactor(uSrc) + queueFactor(uDst))
 	}

@@ -34,6 +34,48 @@ func TestCurveInterpolation(t *testing.T) {
 	}
 }
 
+// TestClassLatencyEq6 pins Class.Latency against eq. 6 written out by hand:
+// Lc = L(s) + CSend(1/a_src − 1) + CRecv(1/a_dst − 1)
+//   - (L(s) − L(s0))·(q(u_src) + q(u_dst)), with q(u) = u/(1 − u) capped at
+//
+// u = 0.9, at sizes below, at, between and beyond the calibration points.
+func TestClassLatencyEq6(t *testing.T) {
+	c := &Class{
+		Curve: Curve{Sizes: []int64{64, 1024, 65536}, Lat: []float64{0.25, 0.5, 4.5}},
+		CSend: 0.125,
+		CRecv: 0.0625,
+	}
+	cases := []struct {
+		name                   string
+		size                   int64
+		l                      float64 // L(size), interpolated by hand
+		aSrc, aDst, uSrc, uDst float64
+		qSrc, qDst             float64 // q(uSrc), q(uDst)
+	}{
+		{"below first point", 8, 0.25, 0.5, 0.25, 0.5, 0.75, 1, 3},
+		{"at first point", 64, 0.25, 1, 1, 0, 0, 0, 0},
+		{"between first two", 544, 0.375, 0.5, 1, 0.5, 0, 1, 0},
+		{"at middle point", 1024, 0.5, 1, 0.25, 0, 0.75, 0, 3},
+		{"between last two", 33280, 2.5, 0.25, 0.5, 0.75, 0.5, 3, 1},
+		{"at last point", 65536, 4.5, 0, 1.5, 0.95, 0, 9, 0},
+		{"beyond last point", 130048, 8.5, 0.5, 0.5, 0.5, 0.99, 1, 9},
+	}
+	for _, tc := range cases {
+		want := tc.l
+		if tc.aSrc > 0 && tc.aSrc < 1 {
+			want += 0.125 * (1/tc.aSrc - 1)
+		}
+		if tc.aDst > 0 && tc.aDst < 1 {
+			want += 0.0625 * (1/tc.aDst - 1)
+		}
+		want += (tc.l - 0.25) * (tc.qSrc + tc.qDst)
+		got := c.Latency(tc.size, tc.aSrc, tc.aDst, tc.uSrc, tc.uDst)
+		if math.Abs(got-want) > 1e-12*want {
+			t.Errorf("%s: Latency(%d) = %v, want %v", tc.name, tc.size, got, want)
+		}
+	}
+}
+
 func testModel(t *testing.T) (*Model, *cluster.Topology) {
 	t.Helper()
 	topo := cluster.NewTestTopology()
